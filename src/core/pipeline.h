@@ -89,13 +89,13 @@ struct PipelineOptions {
   /// Process every `frame_stride`-th frame (1 = all).
   int frame_stride = 1;
 
-  /// Worker threads for the stateless vision stage (kFullVision only).
-  /// 1 = the sequential reference executor. > 1 enables the pipelined
-  /// streaming executor: per-(frame, camera) detection/landmarks/gaze/
-  /// identity/emotion tasks fan out across a pool while an ordered commit
-  /// stage applies tracking, fusion, accuracy, and repository writes in
-  /// frame order. Results are bit-identical to the sequential executor at
-  /// equal seeds.
+  /// Worker threads for the stateless vision stage (kFullVision only;
+  /// >= 1). 1 with prefetch_depth 0 is the sequential reference: one
+  /// frame at a time, every stage inline on the calling thread. > 1 fans
+  /// per-(frame, camera) detection/landmarks/gaze/identity/emotion tasks
+  /// out on a pool with max(2, num_threads, prefetch_depth) frames in
+  /// flight; the same ordered loop commits them in frame order, so
+  /// results are bit-identical at equal seeds.
   int num_threads = 1;
 
   /// Time source for every stage timer, acquisition deadline, watchdog,
@@ -105,11 +105,11 @@ struct PipelineOptions {
   VirtualClock* clock = nullptr;
 
   /// Frame sets the acquisition pump may read ahead of the commit stage
-  /// (kFullVision only). 0 = synchronous reads. > 0 starts a prefetch
-  /// pump inside MultiCameraSource that runs the identical admission/
-  /// read/fold sequence ahead of the consumer, bounded by this depth, so
-  /// decode + retries + deadline waits overlap analysis. Either this or
-  /// num_threads > 1 selects the pipelined executor.
+  /// (kFullVision only; must be >= 0). 0 = synchronous reads. > 0 starts
+  /// a prefetch pump inside MultiCameraSource that runs the identical
+  /// admission/read/fold sequence ahead of the consumer, bounded by this
+  /// depth, so decode + retries + deadline waits overlap analysis; like
+  /// num_threads > 1, it also moves vision onto the pool.
   int prefetch_depth = 0;
 
   /// Durable persistence (optional; not owned, must outlive the run).
@@ -126,9 +126,9 @@ struct PipelineOptions {
   int checkpoint_every_frames = 0;
 
   /// Cooperative cancellation (optional; not owned, must outlive the
-  /// run). Polled at every frame boundary in all executors; once
-  /// Cancel() is observed the run stops WITHOUT processing the frame and
-  /// returns Status::Cancelled. Every already committed frame stays
+  /// run). Polled between commits; once Cancel() is observed the run
+  /// stops and returns Status::Cancelled naming the first frame it did
+  /// not commit, on every schedule. Every already committed frame stays
   /// acknowledged (and durable when a store is attached), so a
   /// cancelled ground-truth run restarts from its checkpoint via the
   /// normal resume path. This is the fleet scheduler's watchdog handle.
@@ -146,11 +146,13 @@ struct PipelineOptions {
 
 /// Wall-clock spent in each pipeline stage, seconds.
 struct StageTimings {
-  double acquisition = 0;  ///< frame decoding in ground-truth mode
-  /// Per-camera vision work: decode + detect + landmarks + gaze +
-  /// identity + tracking (one fused parallel section in kFullVision).
+  /// Waiting for synchronized frame sets (kFullVision), or decoding
+  /// camera 0 for the parse signature (kGroundTruth, and on resume).
+  double acquisition = 0;
+  /// Stateless per-camera vision (detect + landmarks + gaze + identity,
+  /// summed over cameras and workers) plus the ordered CommitFrame
+  /// (tracking, identity backfill, fusion).
   double detection = 0;
-  double identity = 0;     ///< reserved (folded into detection)
   double fusion = 0;
   double eye_contact = 0;
   double emotion = 0;
@@ -159,8 +161,8 @@ struct StageTimings {
   double training = 0;     ///< one-time emotion-recognizer training
 
   double Total() const {
-    return acquisition + detection + identity + fusion + eye_contact +
-           emotion + parsing + storage;
+    return acquisition + detection + fusion + eye_contact + emotion +
+           parsing + storage;
   }
 };
 

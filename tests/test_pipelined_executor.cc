@@ -1,11 +1,18 @@
-// Pipelined streaming executor tests: with worker threads and acquisition
-// prefetch enabled, the pipeline must produce byte-identical reports and
-// repository contents to the sequential reference executor — on clean
-// runs, under injected faults, and on the failure path (a below-quorum
-// collapse must fail at the same frame with the same message).
+// Run-loop schedule tests: with worker threads and acquisition prefetch
+// enabled, the pipeline's pooled window must produce byte-identical
+// reports and repository contents to the inline (sequential reference)
+// schedule — on clean runs, under injected faults, and on the failure
+// paths (a below-quorum collapse or a cancellation must stop at the same
+// frame with the same message). Both schedules are also checked against
+// a replay built from public calls only, which shares no executor code.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "common/cancellation.h"
+#include "core/frame_analyzer.h"
 #include "core/pipeline.h"
 #include "sim/scenario.h"
 
@@ -231,13 +238,182 @@ TEST(PipelinedExecutor, CollapseFailsAtTheSameFrameWithTheSameMessage) {
 }
 
 TEST(PipelinedExecutor, RejectsNegativePrefetchDepth) {
+  // num_threads below 1 is rejected the same way, not clamped to 1.
+  DiningScene scene = MakeMeetingScenario();
+  for (auto [threads, prefetch] :
+       {std::pair{1, -1}, std::pair{0, 0}, std::pair{-1, 0}}) {
+    PipelineOptions opt = BaseOptions();
+    opt.num_threads = threads;
+    opt.prefetch_depth = prefetch;
+    MetadataRepository repo;
+    auto report = DiEventPipeline(&scene, opt).Run(&repo);
+    ASSERT_FALSE(report.ok())
+        << "threads=" << threads << " prefetch=" << prefetch;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << "threads=" << threads << " prefetch=" << prefetch;
+  }
+}
+
+TEST(PipelinedExecutor, CancelFromCommitHookStopsAfterTheSameFrame) {
+  // A cancel fired from on_frame_committed at frame k must name the first
+  // frame not committed, k + stride, whatever the window size, and leave
+  // exactly the frames up to k in the repository.
+  constexpr int kCancelAt = 200;
+  const std::string expected =
+      "run cancelled before frame " + std::to_string(kCancelAt + 10);
+  DiningScene scene = MakeMeetingScenario();
+  auto cancelled_run = [&](PipelineOptions opt, int threads, int prefetch) {
+    CancellationToken cancel;
+    opt.num_threads = threads;
+    opt.prefetch_depth = prefetch;
+    opt.cancel = &cancel;
+    opt.on_frame_committed = [&cancel](int frame, double) {
+      if (frame == kCancelAt) cancel.Cancel();
+    };
+    MetadataRepository repo;
+    auto report = DiEventPipeline(&scene, opt).Run(&repo);
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(report.status().message(), expected)
+        << "threads=" << threads << " prefetch=" << prefetch;
+    EXPECT_EQ(repo.lookat_records().size(), size_t{kCancelAt / 10 + 1});
+    if (!repo.lookat_records().empty()) {
+      EXPECT_EQ(repo.lookat_records().back().frame, kCancelAt);
+    }
+    return repo;
+  };
+
+  PipelineOptions opt = BaseOptions();
+  opt.analyze_emotions = true;
+  opt.recognizer = &SharedRecognizer();
+  const MetadataRepository inline_repo = cancelled_run(opt, 1, 0);
+  EXPECT_EQ(inline_repo.overall_records().size(), size_t{kCancelAt / 10 + 1});
+  for (auto [threads, prefetch] :
+       {std::pair{4, 0}, std::pair{1, 4}, std::pair{4, 4}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "threads=" << threads << " prefetch=" << prefetch);
+    ExpectSameRepository(inline_repo, cancelled_run(opt, threads, prefetch));
+  }
+
+  // Ground truth feeds the same loop, so it stops at the same frame.
+  PipelineOptions gt = opt;
+  gt.mode = PipelineMode::kGroundTruth;
+  gt.recognizer = nullptr;
+  const MetadataRepository gt_repo = cancelled_run(gt, 1, 0);
+  EXPECT_EQ(gt_repo.overall_records().size(), size_t{kCancelAt / 10 + 1});
+  ExpectSameRepository(gt_repo, cancelled_run(gt, 4, 4));
+}
+
+/// The crop the pipeline hands the emotion recognizer: a square around
+/// the detection matching the training-crop geometry.
+ImageRgb EmotionCrop(const ImageRgb& frame, const FaceDetection& det) {
+  const double half = det.radius_px / 0.92;
+  const int size = std::max(8, static_cast<int>(2.0 * half));
+  return frame.Crop(static_cast<int>(det.center_px.x - half),
+                    static_cast<int>(det.center_px.y - half), size, size);
+}
+
+/// Rebuilds a clean full-vision run's records from public calls only —
+/// render each view, analyze each camera, commit the frame, recognize
+/// each participant's largest frontal face, smooth the overall emotion —
+/// sharing no code with the pipeline's run loop.
+MetadataRepository ReplayFullVision(const DiningScene& scene,
+                                    const PipelineOptions& opt) {
+  MetadataRepository repo;
+  const int n = scene.NumParticipants();
+  const int num_cameras = scene.rig().NumCameras();
+  std::vector<int> cameras;
+  std::vector<std::unique_ptr<SyntheticVideoSource>> sources;
+  for (int c = 0; c < num_cameras; ++c) {
+    cameras.push_back(c);
+    sources.push_back(std::make_unique<SyntheticVideoSource>(
+        &scene, c, opt.render, opt.scripts));
+  }
+  FrameAnalyzerOptions engine_options;
+  engine_options.vision = opt.vision;
+  engine_options.recognizer_reject_distance = opt.recognizer_reject_distance;
+  engine_options.tracker = opt.tracker;
+  engine_options.fusion = opt.fusion;
+  engine_options.eye_contact = opt.eye_contact;
+  std::vector<ParticipantProfile> profiles;
+  for (const auto& p : scene.participants()) profiles.push_back(p.profile);
+  auto created = FrameAnalyzer::Create(&scene.rig(), std::move(profiles),
+                                       engine_options, cameras);
+  EXPECT_TRUE(created.ok()) << created.status();
+  if (!created.ok()) return repo;
+  FrameAnalyzer engine = std::move(created).TakeValue();
+  OverallEmotionEstimator overall(opt.overall_emotion);
+  CameraAnalysisScratch scratch;
+  const std::vector<CameraFrameQuality> quality(num_cameras,
+                                                CameraFrameQuality::kFresh);
+
+  for (int f = 0; f < scene.num_frames(); f += opt.frame_stride) {
+    const double t = scene.TimeOfFrame(f);
+    std::vector<ImageRgb> frames;
+    std::vector<CameraVision> vision;
+    for (int c = 0; c < num_cameras; ++c) {
+      auto frame = sources[c]->GetFrame(f);
+      EXPECT_TRUE(frame.ok()) << frame.status();
+      if (!frame.ok()) return repo;
+      frames.push_back(std::move(frame.value().image));
+      vision.push_back(engine.AnalyzeCameraStateless(
+          c, frames.back(), CameraFrameQuality::kFresh, &scratch));
+    }
+    auto analysis = engine.CommitFrame(f, std::move(vision), quality);
+    EXPECT_TRUE(analysis.ok()) << analysis.status();
+    if (!analysis.ok()) return repo;
+    EXPECT_TRUE(repo.AddLookAt(LookAtRecord::FromMatrix(
+                                   f, t, analysis.value().lookat))
+                    .ok());
+
+    std::vector<EmotionObservation> emotions(n);
+    for (int i = 0; i < n; ++i) {
+      emotions[i].participant = i;
+      const FaceObservation* best = nullptr;
+      int best_cam = -1;
+      for (int c = 0; c < num_cameras; ++c) {
+        for (const FaceObservation& o : analysis.value().per_camera[c]) {
+          if (o.identity == i && o.detection.front_facing &&
+              (best == nullptr ||
+               o.detection.radius_px > best->detection.radius_px)) {
+            best = &o;
+            best_cam = c;
+          }
+        }
+      }
+      if (best == nullptr || best->detection.radius_px < 8.0) continue;
+      const EmotionPrediction p = opt.recognizer->Recognize(
+          EmotionCrop(frames[best_cam], best->detection));
+      emotions[i].emotion = p.emotion;
+      emotions[i].confidence = p.confidence;
+      EXPECT_TRUE(
+          repo.AddEmotion({f, t, i, p.emotion, p.confidence}).ok());
+    }
+    const OverallEmotion oe = overall.Update(f, t, emotions);
+    EXPECT_TRUE(repo.AddOverallEmotion({f, t, oe.overall_happiness,
+                                        oe.mean_valence, oe.observed})
+                    .ok());
+  }
+  return repo;
+}
+
+TEST(PipelinedExecutor, InlineAndPooledMatchAnIndependentReplay) {
   DiningScene scene = MakeMeetingScenario();
   PipelineOptions opt = BaseOptions();
-  opt.prefetch_depth = -1;
-  MetadataRepository repo;
-  auto report = DiEventPipeline(&scene, opt).Run(&repo);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  opt.analyze_emotions = true;
+  opt.recognizer = &SharedRecognizer();
+
+  const MetadataRepository replay = ReplayFullVision(scene, opt);
+  ASSERT_EQ(replay.lookat_records().size(), 61u);
+  EXPECT_GT(replay.emotion_records().size(), 0u);
+  {
+    SCOPED_TRACE("inline (1, 0)");
+    ExpectSameRepository(replay, RunPipeline(scene, opt, 1, 0).repo);
+  }
+  {
+    SCOPED_TRACE("pooled (4, 4)");
+    ExpectSameRepository(replay, RunPipeline(scene, opt, 4, 4).repo);
+  }
 }
 
 TEST(PipelinedExecutor, GroundTruthModeIgnoresTheKnobs) {

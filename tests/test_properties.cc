@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "analysis/eye_contact.h"
 #include "core/pipeline.h"
 #include "image/histogram.h"
@@ -165,16 +167,22 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Histogram metric axioms across bin resolutions and binning modes.
 
+// gtest names each case by a byte dump of its parameter, so the struct
+// carries its padding as explicit zeroed bytes: otherwise the case names
+// pick up whatever the stack held, and change from run to run.
 struct HistogramParam {
   int bins;
   bool soft;
+  char zero_pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<HistogramParam>);
 
 class HistogramProperties
     : public testing::TestWithParam<HistogramParam> {};
 
 TEST_P(HistogramProperties, MetricAxiomsHold) {
-  const auto [bins, soft] = GetParam();
+  const int bins = GetParam().bins;
+  const bool soft = GetParam().soft;
   Rng rng(bins * 2 + soft);
   auto random_image = [&] {
     ImageRgb img(24, 24, 3);
