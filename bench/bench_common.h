@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/eye_contact.h"
@@ -72,6 +73,22 @@ inline LookAtMatrix VisionMatrixAt(const DiningScene& scene, double t,
   EyeContactOptions opt;
   opt.angular_tolerance_deg = 12.0;
   return EyeContactDetector(opt).ComputeLookAt(ToGeometry(fused));
+}
+
+/// Provenance of a `--perf_smoke` JSON snapshot, as object members to
+/// splice after the opening brace (two-space indent, trailing comma): the
+/// build type and compiler this binary was built with, the commit the
+/// build was configured from ("-dirty" when tracked files differed,
+/// "unknown" outside git), and the host's core count. The bench
+/// CMakeLists defines the three macros.
+inline std::string SmokeProvenanceJson() {
+  const std::string build_type = DIEVENT_BUILD_TYPE;
+  return "  \"build_type\": \"" +
+         (build_type.empty() ? std::string("none") : build_type) + "\",\n" +
+         "  \"compiler\": \"" DIEVENT_COMPILER "\",\n" +
+         "  \"commit\": \"" DIEVENT_GIT_COMMIT "\",\n" +
+         "  \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) + ",\n";
 }
 
 inline std::vector<std::string> Names(const DiningScene& scene) {

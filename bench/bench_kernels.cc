@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/simd.h"
 
 namespace dievent {
@@ -254,6 +255,7 @@ int RunPerfSmoke(const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"kernels_smoke\",\n"
+      << bench::SmokeProvenanceJson()
       << "  \"backend\": \"" << simd::ActiveBackend() << "\",\n"
       << "  \"frame\": \"" << kFrameW << "x" << kFrameH << "\",\n"
       << "  \"matvec_shape\": \"" << kMatVecIn << "->" << kMatVecOut

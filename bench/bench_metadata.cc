@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/rng.h"
 #include "io/file.h"
 #include "metadata/corpus.h"
@@ -663,6 +664,7 @@ int RunPerfSmoke(const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"metadata_corpus_smoke\",\n"
+      << bench::SmokeProvenanceJson()
       << "  \"events\": " << kEvents << ",\n"
       << "  \"frames_per_event\": " << kFrames << ",\n"
       << "  \"records\": " << records << ",\n"

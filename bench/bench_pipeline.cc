@@ -15,6 +15,7 @@
 
 #include "analysis/eye_contact.h"
 #include "analysis/fusion.h"
+#include "bench_common.h"
 #include "core/pipeline.h"
 #include "metadata/repository.h"
 #include "ml/face_recognizer.h"
@@ -178,12 +179,11 @@ PipelineOptions ExecutorOptions(bool pipelined) {
   opt.analyze_emotions = false;
   opt.parse_video = true;  // the signature stage rides the vision fan-out
   opt.num_threads = pipelined ? 4 : 1;
-  opt.prefetch_depth = pipelined ? 4 : 0;
   return opt;
 }
 
-/// Sequential reference executor vs the pipelined streaming executor
-/// (4 vision workers, prefetch depth 4) on the same 61-frame slice.
+/// Sequential reference executor vs the pooled window (4 vision
+/// workers, 4 frames in flight) on the same 61-frame slice.
 void BM_PipelineEndToEnd(benchmark::State& state) {
   const bool pipelined = state.range(0) != 0;
   int frames = 0;
@@ -265,8 +265,8 @@ int RunPerfSmoke(const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"pipeline_executor_smoke\",\n"
+      << bench::SmokeProvenanceJson()
       << "  \"frames\": 61,\n"
-      << "  \"hardware_concurrency\": " << cores << ",\n"
       << "  \"sequential_fps\": " << seq.fps << ",\n"
       << "  \"pipelined_fps\": " << pipe.fps << ",\n"
       << "  \"speedup\": " << speedup << ",\n"

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/mpmc_queue.h"
 #include "fleet/scheduler.h"
 #include "sim/scenario.h"
@@ -178,9 +179,9 @@ int RunPerfSmoke(const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"benchmark\": \"fleet_scheduler_smoke\",\n"
+      << bench::SmokeProvenanceJson()
       << "  \"jobs\": " << kSmokeJobs << ",\n"
       << "  \"frames_per_job\": " << JobScene().num_frames() << ",\n"
-      << "  \"hardware_concurrency\": " << cores << ",\n"
       << "  \"runners\": " << m << ",\n"
       << "  \"serial_fps\": " << serial_fps << ",\n"
       << "  \"fleet_fps\": " << fleet_fps << ",\n"

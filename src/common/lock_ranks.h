@@ -76,8 +76,6 @@ enum class LockRank : int {
   /// cache (none) and below nothing it acquires (it logs only outside
   /// its critical sections).
   kCorpus = 45,
-  /// MultiCameraSource::PumpState::mutex — prefetch pump handshake.
-  kPrefetchPump = 50,
   /// AcquisitionSupervisor::Reader::mutex — per-reader request/response
   /// handshake; interrupts a wedged source (kSourceInterrupt) under it.
   kAcqReader = 60,
@@ -106,7 +104,6 @@ inline const char* LockRankName(LockRank rank) {
     case LockRank::kFleetScheduler: return "kFleetScheduler";
     case LockRank::kReadyQueue: return "kReadyQueue";
     case LockRank::kCorpus: return "kCorpus";
-    case LockRank::kPrefetchPump: return "kPrefetchPump";
     case LockRank::kAcqReader: return "kAcqReader";
     case LockRank::kSourceInterrupt: return "kSourceInterrupt";
     case LockRank::kAcqWaitFence: return "kAcqWaitFence";

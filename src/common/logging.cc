@@ -13,7 +13,7 @@ namespace {
 std::atomic<int> g_threshold{static_cast<int>(LogLevel::kWarning)};
 
 /// Process-wide log sink. Emission is serialized under an annotated mutex
-/// so concurrent log statements (supervisor readers, the prefetch pump,
+/// so concurrent log statements (supervisor readers and
 /// pool workers) produce whole lines; the stream override used by tests
 /// shares the same guard so a redirect cannot race an in-flight write.
 class LogSink {

@@ -30,7 +30,7 @@ void SetLogThreshold(LogLevel level);
 LogLevel GetLogThreshold();
 
 /// Redirects log output to `stream` (nullptr restores stderr). The sink is
-/// mutex-serialized: concurrent DIEVENT_LOG statements from reader/pump/
+/// mutex-serialized: concurrent DIEVENT_LOG statements from reader and
 /// worker threads emit whole lines, never interleaved fragments.
 /// Thread-safe; intended for tests and embedding applications.
 void SetLogStream(std::ostream* stream);

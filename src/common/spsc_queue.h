@@ -11,9 +11,8 @@
 ///
 /// The single-thread-per-endpoint contract is checked at runtime:
 /// `TryPush`/`TryPop` each carry a ThreadOwner assertion, and a deliberate
-/// endpoint handoff (reader restart, prefetch pump takeover) must call
-/// `ResetProducerOwner`/`ResetConsumerOwner` at the externally
-/// synchronized handoff point.
+/// producer handoff (a supervisor reader restart) must call
+/// `ResetProducerOwner` at the externally synchronized handoff point.
 
 #ifndef DIEVENT_COMMON_SPSC_QUEUE_H_
 #define DIEVENT_COMMON_SPSC_QUEUE_H_
@@ -78,10 +77,9 @@ class SpscQueue {
 
   bool EmptyApprox() const { return SizeApprox() == 0; }
 
-  /// Endpoint handoff hooks; the caller must have synchronized with the
-  /// previous owner (thread join/spawn) before resetting.
+  /// Producer handoff hook; the caller must have synchronized with the
+  /// previous producer (thread join/spawn) before resetting.
   void ResetProducerOwner() { producer_owner_.Reset(); }
-  void ResetConsumerOwner() { consumer_owner_.Reset(); }
 
  private:
   std::vector<T> slots_;

@@ -6,9 +6,9 @@
 ///
 /// A ThreadOwner is claimed by the first thread that checks it; every
 /// later check aborts (DIEVENT_CHECK — enabled in all build types) if a
-/// different thread shows up. Deliberate handoffs (a reader restart, the
-/// pump thread taking over the control role) call Reset() at the handoff
-/// point, which must itself be externally synchronized — in practice a
+/// different thread shows up. A deliberate handoff (a supervisor reader
+/// restart handing the response queue's producer side to the new reader)
+/// calls Reset() at the handoff point, which must itself be externally synchronized — in practice a
 /// thread join or spawn, whose happens-before edge is exactly the
 /// synchronization the new owner relies on.
 

@@ -176,6 +176,7 @@ struct FrameWork {
   std::vector<std::vector<std::optional<EmotionPrediction>>> emotion_cache;
   std::vector<double> vision_seconds;   // per camera, stateless stage
   std::vector<double> emotion_seconds;  // per camera, speculation
+  double signature_seconds = 0;         // the parse-signature task
 };
 
 /// Vision-vs-ground-truth tallies behind PipelineAccuracy (kFullVision).
@@ -258,8 +259,7 @@ class RunState {
         clock_(options.clock != nullptr ? options.clock : RealClock::Get()),
         n_(scene.NumParticipants()),
         full_(options.mode == PipelineMode::kFullVision),
-        pooled_(full_ &&
-                (options.num_threads > 1 || options.prefetch_depth > 0)),
+        pooled_(full_ && options.num_threads > 1),
         cameras_(options.camera_subset),
         recognizer_(options.recognizer),
         ec_detector_(options.eye_contact),
@@ -288,9 +288,6 @@ class RunState {
     }
     if (options_.num_threads < 1) {
       return Status::InvalidArgument("num_threads must be >= 1");
-    }
-    if (options_.prefetch_depth < 0) {
-      return Status::InvalidArgument("prefetch_depth must be >= 0");
     }
     for (int c : cameras_) {
       if (c < 0 || c >= scene_.rig().NumCameras()) {
@@ -459,11 +456,9 @@ class RunState {
     }
     overall_.Restore(std::move(timeline));
     if (options_.parse_video) {
-      StageTimer acquire(clock_, &report_.timings.acquisition);
       for (int f = 0; f < start_frame_ && f < scene_.num_frames();
            f += options_.frame_stride) {
-        DIEVENT_ASSIGN_OR_RETURN(VideoFrame vf, parse_source_->GetFrame(f));
-        signatures_.push_back(signature_maker_.Signature(vf.image));
+        DIEVENT_RETURN_NOT_OK(SignCameraZero(f));
       }
     }
     report_.degradation.resumed_from_frame = resume_after_frame_;
@@ -472,20 +467,14 @@ class RunState {
   }
 
   /// The ordered frame loop of every schedule: admit frames into the
-  /// window, retire the head frame through the commit. Pooled full
-  /// vision keeps max(2, num_threads, prefetch_depth) frames in flight:
-  /// the acquisition pump (prefetch_depth > 0) reads ahead and
-  /// per-(frame, camera) vision tasks fan out on the pool. Otherwise the
-  /// window is 1 and every stage runs inline on the calling thread.
+  /// window, retire the head frame through the commit. Full vision keeps
+  /// num_threads frames in flight; above 1, per-(frame, camera) vision
+  /// tasks fan out on a pool of num_threads workers, while at 1 (and in
+  /// ground truth) every stage runs inline on the calling thread.
   Status RunFrames() {
     const int end = scene_.num_frames();
-    int window = 1;
+    const int window = pooled_ ? options_.num_threads : 1;
     if (pooled_) {
-      window = std::max({2, options_.num_threads, options_.prefetch_depth});
-      if (options_.prefetch_depth > 0 && end > 0) {
-        DIEVENT_RETURN_NOT_OK(multi_->StartPrefetch(
-            0, options_.frame_stride, options_.prefetch_depth));
-      }
       pool_ = std::make_unique<ThreadPool>(options_.num_threads);
       for (int i = 0; i < window; ++i) {
         groups_.push_back(std::make_unique<TaskGroup>(pool_.get()));
@@ -523,7 +512,6 @@ class RunState {
     // On error, wait out in-flight vision tasks before anything else
     // touches their FrameWork slots.
     for (auto& group : groups_) group->Wait();
-    if (multi_ != nullptr) multi_->StopPrefetch();
     return status;
   }
 
@@ -682,6 +670,7 @@ class RunState {
     }
     if (options_.parse_video && w.parse_ref >= 0) {
       run([this, &w] {
+        StageTimer timer(clock_, &w.signature_seconds);
         w.signature = signature_maker_.Signature(w.frames[w.parse_ref]);
       });
     }
@@ -727,8 +716,8 @@ class RunState {
   // Ordered acquisition bookkeeping: skip/health tallies and the collapse
   // check. Returns false when the frame is skipped. Uses the set's
   // quarantine snapshot (not the source's live state) so the collapse
-  // message is identical whether the set came from the prefetch pump or
-  // a synchronous read.
+  // message is identical whether or not the pooled window has already
+  // admitted later frames.
   Result<bool> AccountAcquisition(const FrameWork& w) {
     if (!w.analyzable) {
       ++report_.degradation.frames_skipped;
@@ -774,6 +763,7 @@ class RunState {
     }
     for (double s : w.vision_seconds) report_.timings.detection += s;
     for (double s : w.emotion_seconds) report_.timings.emotion += s;
+    report_.timings.parsing += w.signature_seconds;
     std::vector<ParticipantGeometry> geometry = ToGeometry(analysis.fused);
     for (int i = 0; i < n_; ++i) {
       if (analysis.fused[i].num_views == 0) geometry[i].gaze_direction.reset();
@@ -852,12 +842,21 @@ class RunState {
     if (options_.analyze_emotions) {
       for (int i = 0; i < n_; ++i) emotions.push_back({i, gt[i].emotion, 1.0});
     }
-    if (options_.parse_video) {
-      StageTimer acquire(clock_, &report_.timings.acquisition);
-      DIEVENT_ASSIGN_OR_RETURN(VideoFrame vf, parse_source_->GetFrame(f));
-      signatures_.push_back(signature_maker_.Signature(vf.image));
-    }
+    if (options_.parse_video) DIEVENT_RETURN_NOT_OK(SignCameraZero(f));
     return CommitTail(f, t, geometry, emotions);
+  }
+
+  // Decodes camera 0's frame `f` (acquisition) and appends its parse
+  // signature (parsing): the ground-truth signature timeline.
+  Status SignCameraZero(int f) {
+    VideoFrame vf;
+    {
+      StageTimer timer(clock_, &report_.timings.acquisition);
+      DIEVENT_ASSIGN_OR_RETURN(vf, parse_source_->GetFrame(f));
+    }
+    StageTimer timer(clock_, &report_.timings.parsing);
+    signatures_.push_back(signature_maker_.Signature(vf.image));
+    return Status::OK();
   }
 
   // The commit tail every geometry source feeds: the Eq. 1–5 look-at
@@ -922,8 +921,8 @@ class RunState {
   VirtualClock* const clock_;
   const int n_;
   const bool full_;
-  /// Full vision with either knob above its floor runs vision on a pool
-  /// with a window of frames in flight; otherwise everything is inline.
+  /// Full vision with num_threads > 1 runs vision on a pool with a window
+  /// of num_threads frames in flight; otherwise everything is inline.
   const bool pooled_;
   std::vector<int> cameras_;  ///< resolved camera subset
   int num_cameras_ = 0;

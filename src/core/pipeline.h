@@ -90,12 +90,12 @@ struct PipelineOptions {
   int frame_stride = 1;
 
   /// Worker threads for the stateless vision stage (kFullVision only;
-  /// >= 1). 1 with prefetch_depth 0 is the sequential reference: one
-  /// frame at a time, every stage inline on the calling thread. > 1 fans
-  /// per-(frame, camera) detection/landmarks/gaze/identity/emotion tasks
-  /// out on a pool with max(2, num_threads, prefetch_depth) frames in
-  /// flight; the same ordered loop commits them in frame order, so
-  /// results are bit-identical at equal seeds.
+  /// >= 1), and the number of frames in flight. 1 is the sequential
+  /// reference: one frame at a time, every stage inline on the calling
+  /// thread. > 1 fans per-(frame, camera) detection/landmarks/gaze/
+  /// identity/emotion tasks out on a pool of num_threads workers with
+  /// num_threads frames in flight; the same ordered loop commits them in
+  /// frame order, so results are bit-identical at equal seeds.
   int num_threads = 1;
 
   /// Time source for every stage timer, acquisition deadline, watchdog,
@@ -103,14 +103,6 @@ struct PipelineOptions {
   /// Must outlive the pipeline run; timing tests inject a SimClock so the
   /// whole acquisition state machine runs on simulated time.
   VirtualClock* clock = nullptr;
-
-  /// Frame sets the acquisition pump may read ahead of the commit stage
-  /// (kFullVision only; must be >= 0). 0 = synchronous reads. > 0 starts
-  /// a prefetch pump inside MultiCameraSource that runs the identical
-  /// admission/read/fold sequence ahead of the consumer, bounded by this
-  /// depth, so decode + retries + deadline waits overlap analysis; like
-  /// num_threads > 1, it also moves vision onto the pool.
-  int prefetch_depth = 0;
 
   /// Durable persistence (optional; not owned, must outlive the run).
   /// When set, every record committed by the pipeline is appended to
@@ -147,7 +139,8 @@ struct PipelineOptions {
 /// Wall-clock spent in each pipeline stage, seconds.
 struct StageTimings {
   /// Waiting for synchronized frame sets (kFullVision), or decoding
-  /// camera 0 for the parse signature (kGroundTruth, and on resume).
+  /// camera 0's frames for the parse signature (kGroundTruth, and on
+  /// resume). The signature itself is charged to `parsing`.
   double acquisition = 0;
   /// Stateless per-camera vision (detect + landmarks + gaze + identity,
   /// summed over cameras and workers) plus the ordered CommitFrame
@@ -156,6 +149,8 @@ struct StageTimings {
   double fusion = 0;
   double eye_contact = 0;
   double emotion = 0;
+  /// Video composition analysis: every per-frame parse signature
+  /// (summed over workers when pooled) plus the final shot/scene parse.
   double parsing = 0;
   double storage = 0;
   double training = 0;     ///< one-time emotion-recognizer training

@@ -64,11 +64,6 @@ const AdaptiveDeadlineController* AcquisitionSupervisor::deadline_controller(
   return c < controllers_.size() ? controllers_[c].get() : nullptr;
 }
 
-void AcquisitionSupervisor::ReleaseControl() {
-  control_owner_.Reset();
-  for (auto& reader : readers_) reader->responses.ResetConsumerOwner();
-}
-
 void AcquisitionSupervisor::SpawnReader(Reader* reader) {
   reader->thread =
       std::thread(&AcquisitionSupervisor::ReaderLoop, this, reader);
@@ -198,30 +193,20 @@ void AcquisitionSupervisor::ReaderLoop(Reader* reader) {
 
 std::vector<AcquisitionSupervisor::ReadOutcome> AcquisitionSupervisor::Read(
     int index, const std::vector<int>& max_attempts) {
-  return FinishRead(BeginRead(index, max_attempts));
-}
-
-AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
-    int index, const std::vector<int>& max_attempts) {
   DCHECK_OWNED_BY(control_owner_);
-  // Control token: the caller is mid-read until FinishRead returns, so
+  // Control token: the caller is mid-read until Read returns, so
   // simulated time must not advance just because readers went quiet.
   clock_->AddPendingWork(1);
 
-  PendingRead p;
-  p.index = index;
-  p.seq = ++seq_;
-  p.bounded = options_.read_deadline_s > 0;
+  const long long seq = ++seq_;
+  const bool bounded = options_.read_deadline_s > 0;
   const Clock::time_point now = clock_->Now();
-  p.deadline = now;
-  p.deadlines.assign(readers_.size(), Clock::time_point{});
-  p.out.resize(readers_.size());
-  p.pending.assign(readers_.size(), false);
-
-  const long long seq = p.seq;
-  std::vector<ReadOutcome>& out = p.out;
-  std::vector<bool>& pending = p.pending;
-  size_t& remaining = p.remaining;
+  // Per-camera deadlines, fixed at dispatch (adaptive deadlines move only
+  // between reads, never within one).
+  std::vector<Clock::time_point> deadlines(readers_.size());
+  std::vector<ReadOutcome> out(readers_.size());
+  std::vector<bool> pending(readers_.size(), false);
+  size_t remaining = 0;
 
   for (size_t c = 0; c < readers_.size(); ++c) {
     if (c >= max_attempts.size() || max_attempts[c] <= 0) continue;
@@ -277,7 +262,7 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
         // it under reader.mutex is safe.
         clock_->AddPendingWork(1);
         reader.request = ReaderRequest{seq, index, max_attempts[c],
-                                       p.bounded ? camera_deadline_s : 0.0};
+                                       bounded ? camera_deadline_s : 0.0};
         dispatched = true;
       }
     }
@@ -285,20 +270,8 @@ AcquisitionSupervisor::PendingRead AcquisitionSupervisor::BeginRead(
     reader.cv.NotifyOne();
     pending[c] = true;
     ++remaining;
-    p.deadlines[c] = now + VirtualClock::FromSeconds(camera_deadline_s);
-    p.deadline = std::max(p.deadline, p.deadlines[c]);
+    deadlines[c] = now + VirtualClock::FromSeconds(camera_deadline_s);
   }
-  return p;
-}
-
-std::vector<AcquisitionSupervisor::ReadOutcome>
-AcquisitionSupervisor::FinishRead(PendingRead p) {
-  DCHECK_OWNED_BY(control_owner_);
-  const long long seq = p.seq;
-  const int index = p.index;
-  std::vector<ReadOutcome>& out = p.out;
-  std::vector<bool>& pending = p.pending;
-  size_t& remaining = p.remaining;
 
   auto drain = [&] {
     for (size_t c = 0; c < readers_.size(); ++c) {
@@ -324,9 +297,9 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
 
   // Marks every pending camera whose own deadline has passed as missed.
   auto expire = [&](Clock::time_point at) {
-    if (!p.bounded) return;
+    if (!bounded) return;
     for (size_t c = 0; c < readers_.size(); ++c) {
-      if (!pending[c] || p.deadlines[c] > at) continue;
+      if (!pending[c] || deadlines[c] > at) continue;
       Reader& reader = *readers_[c];
       out[c].deadline_missed = true;
       out[c].error = Status::DeadlineExceeded(
@@ -356,10 +329,10 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
     {
       MutexLock wait_lock(wait_mutex_);
       if (has_any_response()) continue;  // recheck under the fence mutex
-      if (p.bounded) {
+      if (bounded) {
         Clock::time_point next = Clock::time_point::max();
         for (size_t c = 0; c < readers_.size(); ++c) {
-          if (pending[c]) next = std::min(next, p.deadlines[c]);
+          if (pending[c]) next = std::min(next, deadlines[c]);
         }
         if (clock_->Now() >= next) continue;  // expire on the next pass
         // Result deliberately unused: the loop re-drains and re-expires
@@ -371,7 +344,7 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
     }
   }
 
-  // Release the control token taken at BeginRead. Outside every lock: a
+  // Release the control token taken at entry. Outside every lock: a
   // negative delta may advance simulated time and fence waiter mutexes.
   clock_->AddPendingWork(-1);
 
@@ -382,7 +355,7 @@ AcquisitionSupervisor::FinishRead(PendingRead p) {
       if (out[c].ok()) controllers_[c]->RecordHealthy(out[c].latency_s);
     }
   }
-  return std::move(p.out);
+  return out;
 }
 
 AcquisitionSupervisor::ReaderStats AcquisitionSupervisor::stats(

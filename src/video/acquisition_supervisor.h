@@ -31,8 +31,8 @@
 /// backoff pacing, latency measurement), so the whole state machine runs
 /// under SimClock in tests. SimClock pending-work tokens bracket every
 /// unit of in-flight work so simulated time can only advance while the
-/// system is genuinely blocked: the control thread holds one token from
-/// BeginRead to the end of FinishRead, and each dispatched camera read
+/// system is genuinely blocked: the control thread holds one token for
+/// the whole of Read, and each dispatched camera read
 /// holds one from the instant its request becomes visible until its
 /// reader has pushed (or dropped) the response. Clock-mediated waits
 /// release the holder's token while blocked; notifies to clock-waited
@@ -132,21 +132,6 @@ class AcquisitionSupervisor {
 
   int NumCameras() const { return static_cast<int>(readers_.size()); }
 
-  /// An in-flight synchronized read: dispatched but not yet collected.
-  /// Opaque to callers; obtained from BeginRead, consumed by FinishRead.
-  struct PendingRead {
-    int index = 0;
-    long long seq = 0;
-    bool bounded = false;
-    Clock::time_point deadline;  ///< latest per-camera deadline
-    /// Per-camera deadlines, fixed at dispatch (adaptive deadlines move
-    /// only between reads, never within one).
-    std::vector<Clock::time_point> deadlines;
-    std::vector<ReadOutcome> out;
-    std::vector<bool> pending;
-    size_t remaining = 0;
-  };
-
   /// Reads frame `index` from every camera with `max_attempts[c] > 0`
   /// concurrently, waiting at most the read deadline overall. Cameras with
   /// `max_attempts[c] <= 0` are skipped (breaker open). Wedged readers are
@@ -154,35 +139,17 @@ class AcquisitionSupervisor {
   std::vector<ReadOutcome> Read(int index,
                                 const std::vector<int>& max_attempts);
 
-  /// Dispatches the read without waiting. The deadline starts now, so the
-  /// caller can overlap other work (the prefetch pump hands the previous
-  /// frame set downstream, which may block on backpressure) with the
-  /// readers' wall-clock budget. At most one read may be pending at a
-  /// time; FinishRead must be called before the next BeginRead.
-  PendingRead BeginRead(int index, const std::vector<int>& max_attempts);
-
-  /// Collects a dispatched read: waits for the remaining responses up to
-  /// the deadline fixed at BeginRead time, then marks stragglers as
-  /// deadline misses. Read(i, a) == FinishRead(BeginRead(i, a)).
-  std::vector<ReadOutcome> FinishRead(PendingRead pending);
-
   /// Snapshot of one camera's statistics (thread-safe).
   ReaderStats stats(int camera) const;
 
   /// The camera's current effective read deadline, seconds — the static
   /// `read_deadline_s` unless adaptive deadlines moved it. Control-thread
-  /// confined, like BeginRead/FinishRead.
+  /// confined, like Read.
   double camera_deadline_s(int camera) const;
 
   /// The camera's adaptive controller, or null when adaptive deadlines
   /// are disabled. Control-thread confined.
   const AdaptiveDeadlineController* deadline_controller(int camera) const;
-
-  /// Hands the control role (BeginRead/FinishRead and the response-queue
-  /// consumer side) to another thread. Call at an externally synchronized
-  /// handoff point — after joining the old control thread or before
-  /// spawning the new one.
-  void ReleaseControl();
 
   const SupervisorOptions& options() const { return options_; }
 
@@ -210,8 +177,8 @@ class AcquisitionSupervisor {
   struct Reader {
     VideoSource* source = nullptr;  ///< set once before the thread spawns
     int camera = 0;                 ///< set once before the thread spawns
-    /// Spawned/joined only by the control thread (SpawnReader/BeginRead/
-    /// the destructor); the reader thread never touches its own handle.
+    /// Spawned/joined only by the control thread (SpawnReader/Read/the
+    /// destructor); the reader thread never touches its own handle.
     std::thread thread;
     mutable Mutex mutex{LockRank::kAcqReader};
     CondVar cv;  ///< wakes the reader: request/stop/interrupt
@@ -247,9 +214,8 @@ class AcquisitionSupervisor {
   /// Control-thread confined (covered by control_owner_).
   std::vector<std::unique_ptr<AdaptiveDeadlineController>> controllers_;
   /// Monotonic read ticket. Touched only by the (single) control thread
-  /// driving BeginRead/FinishRead — the public contract forbids
-  /// overlapping reads — so it needs no lock. The contract is checked:
-  /// BeginRead/FinishRead assert control_owner_.
+  /// driving Read — the public contract forbids overlapping reads — so it
+  /// needs no lock. The contract is checked: Read asserts control_owner_.
   long long seq_ = 0;
   ThreadOwner control_owner_{"supervisor-control"};
 

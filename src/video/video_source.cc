@@ -1,39 +1,12 @@
 #include "video/video_source.h"
 
 #include <cmath>
-#include <thread>
 #include <utility>
 
-#include "common/logging.h"
-#include "common/spsc_queue.h"
 #include "common/strings.h"
-#include "common/thread_annotations.h"
 #include "video/acquisition_supervisor.h"
 
 namespace dievent {
-
-/// Prefetch pump state. Although the ring is SPSC, both endpoints access
-/// it under `mutex` (the blocking handshake needs the occupancy check and
-/// the push/pop to be atomic with the stop/done flags), so the queue is
-/// annotated as guarded. `depth` is enforced with an explicit size check
-/// because SpscQueue rounds its capacity up to a power of two.
-struct MultiCameraSource::PumpState {
-  explicit PumpState(int depth_in)
-      : depth(depth_in), queue(static_cast<size_t>(depth_in)) {}
-
-  const int depth;
-  int next_index = 0;  ///< set before the pump thread starts
-  int stride = 1;      ///< set before the pump thread starts
-  Mutex mutex{LockRank::kPrefetchPump};
-  SpscQueue<SynchronizedFrameSet> queue GUARDED_BY(mutex);
-  CondVar produced;  ///< pump -> consumer: a set is ready
-  CondVar consumed;  ///< consumer -> pump: room freed / stop
-  bool stop GUARDED_BY(mutex) = false;
-  bool done GUARDED_BY(mutex) = false;  ///< index range exhausted; exited
-  /// Spawned by StartPrefetch, joined by StopPrefetch (control thread
-  /// only); the pump thread never touches its own handle.
-  std::thread thread;
-};
 
 int SynchronizedFrameSet::NumUsable() const {
   int n = 0;
@@ -48,7 +21,7 @@ int SynchronizedFrameSet::NumFresh() const {
 }
 
 MultiCameraSource::MultiCameraSource() = default;
-MultiCameraSource::~MultiCameraSource() { StopPrefetch(); }
+MultiCameraSource::~MultiCameraSource() = default;
 MultiCameraSource::MultiCameraSource(MultiCameraSource&&) noexcept = default;
 MultiCameraSource& MultiCameraSource::operator=(MultiCameraSource&&) noexcept =
     default;
@@ -285,7 +258,12 @@ void FoldOutcomes(const AcquisitionPolicy& policy, int index,
 
 }  // namespace
 
-SynchronizedFrameSet MultiCameraSource::ReadSet(int index) {
+Result<SynchronizedFrameSet> MultiCameraSource::GetFrames(int index) {
+  if (index < 0 || index >= num_frames_) {
+    return Status::OutOfRange(
+        StrFormat("frame %d outside [0, %d)", index, num_frames_));
+  }
+  EnsureSupervisor();
   SynchronizedFrameSet set;
   set.frame_index = index;
   set.cameras.resize(sources_.size());
@@ -303,120 +281,6 @@ SynchronizedFrameSet MultiCameraSource::ReadSet(int index) {
   FoldOutcomes(policy_, index, attempts, probing, &outcomes, &health_,
                &resamplers_, &set);
   return set;
-}
-
-Status MultiCameraSource::StartPrefetch(int start_index, int stride,
-                                        int depth) {
-  if (pump_) return Status::FailedPrecondition("prefetch already running");
-  if (depth < 1 || stride < 1) {
-    return Status::InvalidArgument(
-        "prefetch depth and stride must be >= 1");
-  }
-  if (start_index < 0 || start_index >= num_frames_) {
-    return Status::OutOfRange(StrFormat(
-        "prefetch start %d outside [0, %d)", start_index, num_frames_));
-  }
-  pump_ = std::make_unique<PumpState>(depth);
-  pump_->next_index = start_index;
-  pump_->stride = stride;
-  // The pump thread becomes the supervisor's control thread; release the
-  // checked control role before it spawns (externally synchronized: the
-  // new thread does not exist yet).
-  if (supervisor_) supervisor_->ReleaseControl();
-  pump_->thread = std::thread(&MultiCameraSource::PumpLoop, this);
-  return Status::OK();
-}
-
-void MultiCameraSource::StopPrefetch() {
-  if (!pump_) return;
-  {
-    MutexLock lock(pump_->mutex);
-    pump_->stop = true;
-  }
-  pump_->consumed.NotifyAll();
-  if (pump_->thread.joinable()) pump_->thread.join();
-  pump_.reset();
-  // Control returns to whichever thread drives GetFrames next (the pump
-  // thread is joined, so the handoff is externally synchronized).
-  if (supervisor_) supervisor_->ReleaseControl();
-}
-
-bool MultiCameraSource::PumpPush(SynchronizedFrameSet set) {
-  MutexLock lock(pump_->mutex);
-  while (!pump_->stop &&
-         pump_->queue.SizeApprox() >= static_cast<size_t>(pump_->depth)) {
-    pump_->consumed.Wait(pump_->mutex);
-  }
-  if (pump_->stop) return false;
-  // Sole producer below the depth bound: room is certain.
-  // lockrank: allow(order): lock-free SpscQueue, not the ranked MpmcQueue
-  DIEVENT_CHECK(pump_->queue.TryPush(std::move(set)));
-  pump_->produced.NotifyOne();
-  return true;
-}
-
-void MultiCameraSource::PumpLoop() {
-  EnsureSupervisor();
-  // Exactly the sequential ReadSet sequence, one frame ahead: the push of
-  // the previous (folded) set — which may block on backpressure — overlaps
-  // the wall-clock window the supervisor's readers spend on this frame.
-  std::optional<SynchronizedFrameSet> ready;
-  for (int index = pump_->next_index; index < num_frames_;
-       index += pump_->stride) {
-    SynchronizedFrameSet set;
-    set.frame_index = index;
-    set.cameras.resize(sources_.size());
-    std::vector<int> attempts;
-    std::vector<bool> probing;
-    DecideAdmission(index, &set, &attempts, &probing);
-    AcquisitionSupervisor::PendingRead pending =
-        supervisor_->BeginRead(index, attempts);
-    if (ready.has_value() && !PumpPush(std::move(*ready))) return;
-    ready.reset();
-    std::vector<AcquisitionSupervisor::ReadOutcome> outcomes =
-        supervisor_->FinishRead(std::move(pending));
-    FoldOutcomes(policy_, index, attempts, probing, &outcomes, &health_,
-                 &resamplers_, &set);
-    ready = std::move(set);
-  }
-  if (ready.has_value() && !PumpPush(std::move(*ready))) return;
-  {
-    MutexLock lock(pump_->mutex);
-    pump_->done = true;
-  }
-  pump_->produced.NotifyAll();
-}
-
-Result<SynchronizedFrameSet> MultiCameraSource::GetFrames(int index) {
-  if (index < 0 || index >= num_frames_) {
-    return Status::OutOfRange(
-        StrFormat("frame %d outside [0, %d)", index, num_frames_));
-  }
-  if (pump_) {
-    std::optional<SynchronizedFrameSet> set;
-    {
-      MutexLock lock(pump_->mutex);
-      while (pump_->queue.SizeApprox() == 0 && !pump_->done) {
-        pump_->produced.Wait(pump_->mutex);
-      }
-      // lockrank: allow(order): lock-free SpscQueue, not the ranked MpmcQueue
-      set = pump_->queue.TryPop();
-      if (set.has_value()) pump_->consumed.NotifyOne();
-    }
-    if (!set.has_value()) {
-      return Status::Internal(StrFormat(
-          "prefetch pump exhausted before frame %d was requested", index));
-    }
-    if (set->frame_index != index) {
-      return Status::Internal(StrFormat(
-          "prefetch misalignment: consumer asked for frame %d, pump "
-          "produced %d (GetFrames must follow the StartPrefetch stride)",
-          index, set->frame_index));
-    }
-    return std::move(*set);
-  }
-  EnsureSupervisor();
-  return ReadSet(index);
 }
 
 Result<VideoFrame> MemoryVideoSource::GetFrame(int index) {

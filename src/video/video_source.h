@@ -92,8 +92,9 @@ struct SynchronizedFrameSet {
   std::vector<CameraFrame> cameras;
   /// Cameras whose circuit breaker was open or probing *after* this set's
   /// outcomes were folded — a per-set snapshot of QuarantinedCameras().
-  /// Consumers of prefetched sets must use this instead of querying the
-  /// source, whose live state may already reflect later frames.
+  /// Consumers that read ahead of their commit (the pipeline's pooled
+  /// window) must use this instead of querying the source, whose live
+  /// state may already reflect later frames.
   std::vector<int> quarantined_after;
 
   int NumUsable() const;
@@ -233,29 +234,7 @@ class MultiCameraSource {
   /// Cameras whose circuit breaker is currently open or probing.
   std::vector<int> QuarantinedCameras() const;
 
-  /// Starts the prefetch pump: a dedicated thread runs the *identical*
-  /// admission -> concurrent read -> fold sequence for frame indices
-  /// `start_index`, `start_index + stride`, ... ahead of the consumer,
-  /// keeping at most `depth` folded frame sets buffered (backpressure
-  /// blocks the pump, bounding memory and run-ahead). GetFrames then pops
-  /// the next buffered set instead of dispatching, so acquisition —
-  /// decode, retries, deadline waits, breaker bookkeeping — overlaps the
-  /// caller's analysis while producing byte-identical sets, health state,
-  /// and statistics to the synchronous path. The consumer must request
-  /// exactly the pump's index sequence. The object must not be moved
-  /// while the pump runs; health()/resampler()/supervisor() reflect the
-  /// pump's run-ahead until StopPrefetch() joins it.
-  Status StartPrefetch(int start_index, int stride, int depth);
-
-  /// Stops and joins the pump; buffered sets are discarded. Idempotent.
-  /// Establishes happens-before for health()/resampler()/supervisor().
-  void StopPrefetch();
-
-  bool prefetching() const { return pump_ != nullptr; }
-
  private:
-  struct PumpState;  // defined in video_source.cc
-
   MultiCameraSource();
 
   /// Spawns the reader threads on first use, so a freshly Created (and
@@ -266,13 +245,6 @@ class MultiCameraSource {
   void DecideAdmission(int index, SynchronizedFrameSet* set,
                        std::vector<int>* attempts,
                        std::vector<bool>* probing);
-  /// One full synchronized read (admission, concurrent read, fold); the
-  /// body GetFrames runs inline and the pump runs ahead.
-  SynchronizedFrameSet ReadSet(int index);
-  void PumpLoop();
-  /// Blocks until the queue has room, then hands `set` to the consumer.
-  /// Returns false if StopPrefetch was requested.
-  bool PumpPush(SynchronizedFrameSet set);
   /// Breaker cooldown before the next probe, in frames — grows with
   /// consecutive failed probes under the readmission backoff.
   int ReadmitCooldownFrames(int camera, const CameraHealth& health) const;
@@ -284,9 +256,7 @@ class MultiCameraSource {
   int num_frames_ = 0;
   double fps_ = 0.0;
   /// Declared last: destroyed first, so readers stop before sources die.
-  /// (The pump is joined explicitly in the destructor before either.)
   std::unique_ptr<AcquisitionSupervisor> supervisor_;
-  std::unique_ptr<PumpState> pump_;
 };
 
 /// An in-memory source over pre-rendered frames; useful in tests.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "sim/scenario.h"
 
 namespace dievent {
@@ -133,6 +134,27 @@ TEST(PipelineFullVision, ParallelMatchesSequential) {
                 parallel.lookat_records()[i].cells)
         << "frame record " << i;
   }
+}
+
+TEST(PipelineFullVision, InlineStageTimingsCoverWallTime) {
+  // On the inline schedule every stage runs in turn on the calling
+  // thread, so the stage timers (all on the real clock) must account for
+  // nearly all of Run's wall time and never for more. The per-frame parse
+  // signature is a large share of a frame: left untimed, it drops the
+  // ratio to about a third.
+  DiningScene scene = MakeMeetingScenario();
+  PipelineOptions opt = FastVisionOptions();
+  opt.frame_stride = 10;
+  opt.parse_video = true;
+  MetadataRepository repo;
+  VirtualClock* clock = RealClock::Get();
+  const VirtualClock::TimePoint start = clock->Now();
+  auto report = DiEventPipeline(&scene, opt).Run(&repo);
+  const double wall = VirtualClock::ToSeconds(clock->Now() - start);
+  ASSERT_TRUE(report.ok()) << report.status();
+  const double total = report.value().timings.Total();
+  EXPECT_GE(total, 0.8 * wall) << report.value().Summary();
+  EXPECT_LE(total, wall) << report.value().Summary();
 }
 
 TEST(PipelineFullVision, SeatPriorRescuesDisabledRecognizer) {

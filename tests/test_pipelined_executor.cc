@@ -1,5 +1,5 @@
-// Run-loop schedule tests: with worker threads and acquisition prefetch
-// enabled, the pipeline's pooled window must produce byte-identical
+// Run-loop schedule tests: with worker threads enabled (num_threads > 1),
+// the pipeline's pooled window must produce byte-identical
 // reports and repository contents to the inline (sequential reference)
 // schedule — on clean runs, under injected faults, and on the failure
 // paths (a below-quorum collapse or a cancellation must stop at the same
@@ -50,10 +50,9 @@ struct RunResult {
   MetadataRepository repo;
 };
 
-RunResult RunPipeline(const DiningScene& scene, PipelineOptions opt, int threads,
-              int prefetch) {
+RunResult RunPipeline(const DiningScene& scene, PipelineOptions opt,
+                      int threads) {
   opt.num_threads = threads;
-  opt.prefetch_depth = prefetch;
   RunResult out;
   auto report = DiEventPipeline(&scene, opt).Run(&out.repo);
   EXPECT_TRUE(report.ok()) << report.status();
@@ -133,20 +132,22 @@ TEST(PipelinedExecutor, CleanRunMatchesSequentialBitForBit) {
   opt.recognizer = &SharedRecognizer();
   opt.parse_video = true;
 
-  RunResult sequential = RunPipeline(scene, opt, /*threads=*/1, /*prefetch=*/0);
+  RunResult sequential = RunPipeline(scene, opt, /*threads=*/1);
   EXPECT_GT(sequential.repo.emotion_records().size(), 0u);
   EXPECT_GT(sequential.report.structure.num_frames, 0);
-  // Threads only, prefetch only, and both together must all reproduce
+  // The smallest pooled window (2) and a wider one must both reproduce
   // the sequential run exactly.
-  ExpectSameRun(sequential, RunPipeline(scene, opt, 4, 0));
-  ExpectSameRun(sequential, RunPipeline(scene, opt, 1, 4));
-  ExpectSameRun(sequential, RunPipeline(scene, opt, 4, 4));
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExpectSameRun(sequential, RunPipeline(scene, opt, threads));
+  }
 }
 
 TEST(PipelinedExecutor, OutageAndDropFaultsMatchSequential) {
   // Fault folding (retries, hold-last-good, breaker transitions) is part
-  // of the determinism contract: the prefetch pump replays the identical
-  // admission/read/fold sequence, so even degraded runs match exactly.
+  // of the determinism contract: the pooled window admits frames through
+  // the identical admission/read/fold sequence, in frame order, so even
+  // degraded runs match exactly.
   DiningScene scene = MakeMeetingScenario();
   PipelineOptions opt = BaseOptions();
   opt.camera_faults.resize(4);
@@ -158,9 +159,9 @@ TEST(PipelinedExecutor, OutageAndDropFaultsMatchSequential) {
   opt.acquisition.min_camera_quorum = 2;
   opt.acquisition.quarantine_after = 2;
 
-  RunResult sequential = RunPipeline(scene, opt, 1, 0);
+  RunResult sequential = RunPipeline(scene, opt, 1);
   EXPECT_GT(sequential.report.degradation.frames_degraded, 0);
-  RunResult pipelined = RunPipeline(scene, opt, 4, 4);
+  RunResult pipelined = RunPipeline(scene, opt, 4);
   EXPECT_EQ(sequential.report.degradation.camera_drops,
             pipelined.report.degradation.camera_drops);
   EXPECT_EQ(sequential.report.degradation.retries_spent,
@@ -187,16 +188,16 @@ TEST(PipelinedExecutor, StallFaultsMatchSequentialOutcomes) {
   opt.acquisition.read_deadline_s = 0.03;
   opt.acquisition.retry_budget = 0;
 
-  auto run_simulated = [&](int threads, int prefetch) {
+  auto run_simulated = [&](int threads) {
     SimClock::Options sim_options;
     sim_options.auto_advance = true;
     SimClock sim(sim_options);
     PipelineOptions sim_opt = opt;
     sim_opt.clock = &sim;
-    return RunPipeline(scene, sim_opt, threads, prefetch);
+    return RunPipeline(scene, sim_opt, threads);
   };
-  RunResult sequential = run_simulated(1, 0);
-  RunResult pipelined = run_simulated(4, 2);
+  RunResult sequential = run_simulated(1);
+  RunResult pipelined = run_simulated(4);
   EXPECT_GT(sequential.report.degradation.frames_degraded, 0);
   ZeroMechanismCounters(&sequential.report);
   ZeroMechanismCounters(&pipelined.report);
@@ -216,41 +217,36 @@ TEST(PipelinedExecutor, CollapseFailsAtTheSameFrameWithTheSameMessage) {
   opt.acquisition.readmit_after = 0;  // cameras never come back
   opt.acquisition.max_consecutive_below_quorum = 5;
 
-  auto fail = [&](int threads, int prefetch) {
+  auto fail = [&](int threads) {
     PipelineOptions run = opt;
     run.num_threads = threads;
-    run.prefetch_depth = prefetch;
     MetadataRepository repo;
     auto report = DiEventPipeline(&scene, run).Run(&repo);
     EXPECT_FALSE(report.ok());
     return report.status();
   };
-  Status sequential = fail(1, 0);
+  Status sequential = fail(1);
   EXPECT_EQ(sequential.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(sequential.message().find("collapsed"), std::string::npos);
-  for (auto [threads, prefetch] :
-       {std::pair{4, 0}, std::pair{1, 4}, std::pair{4, 4}}) {
-    Status pipelined = fail(threads, prefetch);
+  for (int threads : {2, 4}) {
+    Status pipelined = fail(threads);
     EXPECT_EQ(pipelined.code(), sequential.code());
     EXPECT_EQ(pipelined.message(), sequential.message())
-        << "threads=" << threads << " prefetch=" << prefetch;
+        << "threads=" << threads;
   }
 }
 
-TEST(PipelinedExecutor, RejectsNegativePrefetchDepth) {
-  // num_threads below 1 is rejected the same way, not clamped to 1.
+TEST(PipelinedExecutor, RejectsThreadCountBelowOne) {
+  // num_threads below 1 is rejected, not clamped to 1.
   DiningScene scene = MakeMeetingScenario();
-  for (auto [threads, prefetch] :
-       {std::pair{1, -1}, std::pair{0, 0}, std::pair{-1, 0}}) {
+  for (int threads : {0, -1}) {
     PipelineOptions opt = BaseOptions();
     opt.num_threads = threads;
-    opt.prefetch_depth = prefetch;
     MetadataRepository repo;
     auto report = DiEventPipeline(&scene, opt).Run(&repo);
-    ASSERT_FALSE(report.ok())
-        << "threads=" << threads << " prefetch=" << prefetch;
+    ASSERT_FALSE(report.ok()) << "threads=" << threads;
     EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
-        << "threads=" << threads << " prefetch=" << prefetch;
+        << "threads=" << threads;
   }
 }
 
@@ -262,10 +258,9 @@ TEST(PipelinedExecutor, CancelFromCommitHookStopsAfterTheSameFrame) {
   const std::string expected =
       "run cancelled before frame " + std::to_string(kCancelAt + 10);
   DiningScene scene = MakeMeetingScenario();
-  auto cancelled_run = [&](PipelineOptions opt, int threads, int prefetch) {
+  auto cancelled_run = [&](PipelineOptions opt, int threads) {
     CancellationToken cancel;
     opt.num_threads = threads;
-    opt.prefetch_depth = prefetch;
     opt.cancel = &cancel;
     opt.on_frame_committed = [&cancel](int frame, double) {
       if (frame == kCancelAt) cancel.Cancel();
@@ -274,8 +269,7 @@ TEST(PipelinedExecutor, CancelFromCommitHookStopsAfterTheSameFrame) {
     auto report = DiEventPipeline(&scene, opt).Run(&repo);
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
-    EXPECT_EQ(report.status().message(), expected)
-        << "threads=" << threads << " prefetch=" << prefetch;
+    EXPECT_EQ(report.status().message(), expected) << "threads=" << threads;
     EXPECT_EQ(repo.lookat_records().size(), size_t{kCancelAt / 10 + 1});
     if (!repo.lookat_records().empty()) {
       EXPECT_EQ(repo.lookat_records().back().frame, kCancelAt);
@@ -286,22 +280,20 @@ TEST(PipelinedExecutor, CancelFromCommitHookStopsAfterTheSameFrame) {
   PipelineOptions opt = BaseOptions();
   opt.analyze_emotions = true;
   opt.recognizer = &SharedRecognizer();
-  const MetadataRepository inline_repo = cancelled_run(opt, 1, 0);
+  const MetadataRepository inline_repo = cancelled_run(opt, 1);
   EXPECT_EQ(inline_repo.overall_records().size(), size_t{kCancelAt / 10 + 1});
-  for (auto [threads, prefetch] :
-       {std::pair{4, 0}, std::pair{1, 4}, std::pair{4, 4}}) {
-    SCOPED_TRACE(testing::Message()
-                 << "threads=" << threads << " prefetch=" << prefetch);
-    ExpectSameRepository(inline_repo, cancelled_run(opt, threads, prefetch));
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ExpectSameRepository(inline_repo, cancelled_run(opt, threads));
   }
 
   // Ground truth feeds the same loop, so it stops at the same frame.
   PipelineOptions gt = opt;
   gt.mode = PipelineMode::kGroundTruth;
   gt.recognizer = nullptr;
-  const MetadataRepository gt_repo = cancelled_run(gt, 1, 0);
+  const MetadataRepository gt_repo = cancelled_run(gt, 1);
   EXPECT_EQ(gt_repo.overall_records().size(), size_t{kCancelAt / 10 + 1});
-  ExpectSameRepository(gt_repo, cancelled_run(gt, 4, 4));
+  ExpectSameRepository(gt_repo, cancelled_run(gt, 4));
 }
 
 /// The crop the pipeline hands the emotion recognizer: a square around
@@ -407,12 +399,12 @@ TEST(PipelinedExecutor, InlineAndPooledMatchAnIndependentReplay) {
   ASSERT_EQ(replay.lookat_records().size(), 61u);
   EXPECT_GT(replay.emotion_records().size(), 0u);
   {
-    SCOPED_TRACE("inline (1, 0)");
-    ExpectSameRepository(replay, RunPipeline(scene, opt, 1, 0).repo);
+    SCOPED_TRACE("inline (1 thread)");
+    ExpectSameRepository(replay, RunPipeline(scene, opt, 1).repo);
   }
   {
-    SCOPED_TRACE("pooled (4, 4)");
-    ExpectSameRepository(replay, RunPipeline(scene, opt, 4, 4).repo);
+    SCOPED_TRACE("pooled (4 threads)");
+    ExpectSameRepository(replay, RunPipeline(scene, opt, 4).repo);
   }
 }
 
@@ -423,7 +415,6 @@ TEST(PipelinedExecutor, GroundTruthModeIgnoresTheKnobs) {
   opt.parse_video = false;
   opt.frame_stride = 5;
   opt.num_threads = 4;
-  opt.prefetch_depth = 4;
   MetadataRepository repo;
   auto report = DiEventPipeline(&scene, opt).Run(&repo);
   ASSERT_TRUE(report.ok()) << report.status();

@@ -41,7 +41,6 @@ TEST(StallSmoke, RealClockDeadlineCutsOffAStalledCamera) {
   opt.acquisition.read_deadline_s = 0.03 * kTimingSlack;
   opt.acquisition.retry_budget = 0;
   opt.num_threads = 2;
-  opt.prefetch_depth = 2;
 
   MetadataRepository repo;
   auto report = DiEventPipeline(&scene, opt).Run(&repo);

@@ -104,8 +104,8 @@ TEST(SpscQueueOwnership, ResetAllowsADeliberateHandoff) {
 }
 
 TEST(SupervisorOwnershipDeathTest, SecondControlThreadAborts) {
-  // BeginRead/FinishRead are control-thread confined; a second thread
-  // driving reads without ReleaseControl must abort, not corrupt seq_.
+  // Read is control-thread confined; a second thread driving reads must
+  // abort, not corrupt seq_.
   std::vector<ImageRgb> frames(4);
   MemoryVideoSource source(frames, 10.0);
   SupervisorOptions options;
@@ -117,23 +117,6 @@ TEST(SupervisorOwnershipDeathTest, SecondControlThreadAborts) {
         intruder.join();
       },
       "supervisor-control");
-}
-
-TEST(SupervisorOwnership, ReleaseControlHandsOffTheControlRole) {
-  std::vector<ImageRgb> frames(4);
-  MemoryVideoSource source(frames, 10.0);
-  SupervisorOptions options;
-  AcquisitionSupervisor supervisor({&source}, options);
-  (void)supervisor.Read(0, {1});
-  supervisor.ReleaseControl();  // handoff: spawn happens after the release
-  std::thread next_control([&] {
-    std::vector<AcquisitionSupervisor::ReadOutcome> out =
-        supervisor.Read(1, {1});
-    EXPECT_TRUE(out[0].ok());
-  });
-  next_control.join();
-  supervisor.ReleaseControl();  // and back to main (join synchronizes)
-  (void)supervisor.Read(2, {1});
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ def clean_lines(text):
 
 
 def base_name(expr):
-    """Trailing identifier of a lock expression: pump_->mutex -> mutex."""
+    """Trailing identifier of a lock expression: reader->mutex -> mutex."""
     names = re.findall(r"\w+", expr)
     return names[-1] if names else None
 
